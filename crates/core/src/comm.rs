@@ -22,18 +22,19 @@
 //! iterations (those reading only owned data), waits, and finishes the
 //! boundary — hiding message flight time behind interior compute (§3).
 
-use crate::avail::{accessed_set, nest_bounds, read_available, Availability};
+use crate::avail::{nest_bounds, read_available, AccessMemo, Availability};
 use crate::cp::SubTerm;
-use crate::distrib::{DimMap, DistEnv};
+use crate::distrib::{ArrayDist, DimMap, DistEnv, ProcGrid};
 use crate::select::CpAssignment;
 use dhpf_depend::dep::{DepKind, Dependence};
 use dhpf_depend::loops::UnitLoops;
 use dhpf_depend::refs::UnitRefs;
 use dhpf_depend::usedef;
 use dhpf_fortran::ast::StmtId;
-use dhpf_iset::enumerate::bounding_box;
+use dhpf_iset::enumerate::{bounding_box, covering_box};
 use dhpf_iset::Set;
 use dhpf_obs::{self as obs, CommPhase, Decision, DecisionKind, ElimReason};
+use std::rc::Rc;
 
 /// An inclusive rectangular section of an array.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -351,6 +352,7 @@ pub fn plan_nest_scoped(
     let nprocs = grid.nprocs() as usize;
     let ud = usedef::build(scope, loops, refs);
     let flow_deps = scope_deps.unwrap_or(deps);
+    let mut memo = AccessMemo::new(loops, cps, env, &grid);
 
     let sweep = detect_sweep(loop_id, loops, refs, deps, cps, env);
 
@@ -445,37 +447,52 @@ pub fn plan_nest_scoped(
             // delivers correctly.
             if let Some(w) = pred {
                 if sweep.is_none() && loops.stmts_in(loop_id).contains(&w.stmt) {
-                    let Some(nest_r) = nest_bounds(r.stmt, loops) else {
+                    if nest_bounds(r.stmt, loops).is_none() || nest_bounds(w.stmt, loops).is_none()
+                    {
                         return Err(CommError("non-affine loop bounds".into()));
-                    };
-                    let Some(nw) = nest_bounds(w.stmt, loops) else {
-                        return Err(CommError("non-affine loop bounds".into()));
-                    };
-                    let wcp = cps.get(&w.stmt).cloned().unwrap_or_default();
+                    }
+                    // every rank's write set with its covering box, built
+                    // on the first uncovered read: a rank whose box misses
+                    // the uncovered box cannot have produced any of it
+                    let mut writes: Option<Vec<Option<BoxedSet>>> = None;
                     for rank in 0..nprocs {
-                        let coords = grid.coords(rank as i64);
-                        let (Some(read_data), Some(wd)) = (
-                            accessed_set(r, cp, &nest_r, env, &coords),
-                            accessed_set(w, &wcp, &nw, env, &coords),
-                        ) else {
+                        let (Some(read_data), Some(wd)) = (memo.get(r, rank), memo.get(w, rank))
+                        else {
                             continue;
                         };
                         let uncovered = read_data.subtract(&wd);
                         if uncovered.is_empty() {
                             continue;
                         }
-                        for orank in 0..nprocs {
+                        let writes = writes.get_or_insert_with(|| {
+                            (0..nprocs)
+                                .map(|o| {
+                                    memo.get(w, o).map(|s| {
+                                        let bb = covering_box(&s, &|_| None);
+                                        (s, bb)
+                                    })
+                                })
+                                .collect()
+                        });
+                        let ubox = covering_box(&uncovered, &|_| None);
+                        for (orank, owrite) in writes.iter().enumerate() {
+                            let Some((owd, obox)) = owrite else { continue };
                             if orank == rank {
                                 continue;
                             }
-                            let oc = grid.coords(orank as i64);
-                            if let Some(owd) = accessed_set(w, &wcp, &nw, env, &oc) {
-                                if !uncovered.intersect(&owd).is_empty() {
-                                    return Err(CommError(format!(
-                                        "read of `{}` needs inner-loop communication                                          (value produced on another processor in the                                          same nest); communication-sensitive loop                                          distribution (§5) avoids this",
-                                        r.array
-                                    )));
-                                }
+                            if !boxes_meet(ubox.as_deref(), obox.as_deref()) {
+                                #[cfg(test)]
+                                scan_oracle::assert_disjoint(&uncovered, owd);
+                                continue;
+                            }
+                            if !uncovered.intersect(owd).is_empty() {
+                                return Err(CommError(format!(
+                                    "read of `{}` needs inner-loop communication \
+                                     (value produced on another processor in the \
+                                     same nest); communication-sensitive loop \
+                                     distribution (§5) avoids this",
+                                    r.array
+                                )));
                             }
                         }
                     }
@@ -483,8 +500,7 @@ pub fn plan_nest_scoped(
             }
             if opts.data_availability {
                 if let Some(w) = pred {
-                    let wcp = cps.get(&w.stmt).cloned().unwrap_or_default();
-                    if read_available(r, cp, w, &wcp, loops, env) == Availability::Available {
+                    if read_available(r, w, &mut memo) == Availability::Available {
                         report.reads_eliminated_by_availability += 1;
                         if obs::is_active() {
                             let array = r.array.clone();
@@ -501,17 +517,16 @@ pub fn plan_nest_scoped(
                 }
             }
             // residual non-local read per processor
-            let Some(nest_r) = nest_bounds(r.stmt, loops) else {
+            if nest_bounds(r.stmt, loops).is_none() {
                 return Err(CommError("non-affine loop bounds".into()));
-            };
+            }
             let pre_before = pre.len();
             let mut any_nonlocal = false;
             for rank in 0..nprocs {
-                let coords = grid.coords(rank as i64);
-                let Some(read_data) = accessed_set(r, cp, &nest_r, env, &coords) else {
+                let Some(read_data) = memo.get(r, rank) else {
                     return Err(CommError("non-affine read subscripts".into()));
                 };
-                let owned = dist.owned_set(&coords);
+                let owned = dist.owned_set(&grid.coords(rank as i64));
                 let mut nonlocal = read_data.subtract(&owned);
                 any_nonlocal |= !nonlocal.is_empty();
                 // §7: data this processor itself produces (as owner or
@@ -519,13 +534,8 @@ pub fn plan_nest_scoped(
                 // optimization disabled, everything non-local is fetched
                 // from its owner, as the base communication model says.
                 if opts.data_availability {
-                    if let Some(w) = pred {
-                        if let Some(nw) = nest_bounds(w.stmt, loops) {
-                            let wcp = cps.get(&w.stmt).cloned().unwrap_or_default();
-                            if let Some(wd) = accessed_set(w, &wcp, &nw, env, &coords) {
-                                nonlocal = nonlocal.subtract(&wd);
-                            }
-                        }
+                    if let Some(wd) = pred.and_then(|w| memo.get(w, rank)) {
+                        nonlocal = nonlocal.subtract(&wd);
                     }
                 }
                 push_msgs(&mut pre, &nonlocal, &r.array, dist, &grid, rank);
@@ -564,7 +574,7 @@ pub fn plan_nest_scoped(
         refs,
         cps,
         env,
-        &grid,
+        &mut memo,
         sweep.as_ref(),
         &mut post,
         &mut post_retained,
@@ -630,15 +640,18 @@ fn build_writebacks(
     refs: &UnitRefs,
     cps: &CpAssignment,
     env: &DistEnv,
-    grid: &crate::distrib::ProcGrid,
+    memo: &mut AccessMemo,
     sweep: Option<&PipeSchedule>,
     post: &mut Vec<Msg>,
     retained: &mut Vec<(StmtId, String)>,
     report: &mut CommReport,
 ) -> Result<(), CommError> {
+    let grid = memo.grid;
     let nprocs = grid.nprocs() as usize;
     for stmt in loops.stmts_in(loop_id) {
-        let Some(cp) = cps.get(&stmt) else { continue };
+        if !cps.contains_key(&stmt) {
+            continue;
+        }
         for w in refs.of_stmt(stmt) {
             if !w.is_write || w.is_scalar {
                 continue;
@@ -654,38 +667,32 @@ fn build_writebacks(
                     continue;
                 }
             }
-            let Some(nest_w) = nest_bounds(w.stmt, loops) else {
+            if nest_bounds(w.stmt, loops).is_none() {
                 return Err(CommError("non-affine loop bounds".into()));
-            };
+            }
             let post_before = post.len();
             let suppressed_before = report.writebacks_suppressed_by_replication;
-            // cache per-owner "computes itself" sets
-            let owner_self: Vec<Option<Set>> = (0..nprocs)
-                .map(|orank| {
-                    let oc = grid.coords(orank as i64);
-                    accessed_set(w, cp, &nest_w, env, &oc)
-                        .map(|s| s.intersect(&dist.owned_set(&oc)))
-                })
-                .collect();
+            // per-owner "computes itself" sets, built for candidate owners
+            let mut owner_self: Vec<Option<Option<Set>>> = vec![None; nprocs];
             for rank in 0..nprocs {
-                let coords = grid.coords(rank as i64);
-                let Some(written) = accessed_set(w, cp, &nest_w, env, &coords) else {
+                let Some(written) = memo.get(w, rank) else {
                     return Err(CommError("non-affine write subscripts".into()));
                 };
-                let nonowned = written.subtract(&dist.owned_set(&coords));
+                let nonowned = written.subtract(&dist.owned_set(&grid.coords(rank as i64)));
                 if nonowned.is_empty() {
                     continue;
                 }
-                for (orank, oself) in owner_self.iter().enumerate() {
+                for orank in owner_candidates(&nonowned, dist, grid) {
                     if orank == rank {
                         continue;
                     }
-                    let ocoords = grid.coords(orank as i64);
-                    let oowned = dist.owned_set(&ocoords);
+                    let oowned = dist.owned_set(&grid.coords(orank as i64));
                     let mut piece = nonowned.intersect(&oowned);
                     if piece.is_empty() {
                         continue;
                     }
+                    let oself = owner_self[orank]
+                        .get_or_insert_with(|| memo.get(w, orank).map(|s| s.intersect(&oowned)));
                     // owner computes these itself? then no write-back
                     if let Some(selfset) = oself {
                         let before = piece.clone();
@@ -857,14 +864,14 @@ fn push_msgs(
     out: &mut Vec<Msg>,
     nonlocal: &Set,
     array: &str,
-    dist: &crate::distrib::ArrayDist,
-    grid: &crate::distrib::ProcGrid,
+    dist: &ArrayDist,
+    grid: &ProcGrid,
     receiver: usize,
 ) {
     if nonlocal.is_empty() {
         return;
     }
-    for orank in 0..grid.nprocs() as usize {
+    for orank in owner_candidates(nonlocal, dist, grid) {
         if orank == receiver {
             continue;
         }
@@ -882,6 +889,33 @@ fn push_msgs(
                 region,
             });
         }
+    }
+}
+
+/// The ranks that may own part of `set`, ascending: the BLOCK-arithmetic
+/// owners of its covering box, or every rank when no box covers it
+/// (a disjunct is unbounded, parametric or has no integer box).
+fn owner_candidates(set: &Set, dist: &ArrayDist, grid: &ProcGrid) -> Vec<usize> {
+    let candidates = match covering_box(set, &|_| None) {
+        Some(bb) => dist
+            .owner_coord_range(&bb, grid)
+            .map_or_else(Vec::new, |ranges| grid.ranks_in(&ranges)),
+        None => (0..grid.nprocs() as usize).collect(),
+    };
+    #[cfg(test)]
+    scan_oracle::assert_covers_owners(set, dist, grid, &candidates);
+    candidates
+}
+
+/// A set with its covering box (`None`: no box covers it).
+type BoxedSet = (Rc<Set>, Option<Vec<(i64, i64)>>);
+
+/// Whether two boxes overlap; an unknown box (`None`) may meet
+/// anything.
+fn boxes_meet(a: Option<&[(i64, i64)]>, b: Option<&[(i64, i64)]>) -> bool {
+    match (a, b) {
+        (Some(a), Some(b)) => a.iter().zip(b).all(|(x, y)| x.0.max(y.0) <= x.1.min(y.1)),
+        _ => true,
     }
 }
 
@@ -1220,6 +1254,49 @@ fn write_depth(
         }
     }
     depth
+}
+
+/// The brute-force all-ranks scans the planner no longer runs, kept as
+/// oracles: with the unit tests compiled in, every owner-candidate list
+/// and every box-based skip is re-checked against a full scan.
+#[cfg(test)]
+mod scan_oracle {
+    use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    static CHECKS: AtomicUsize = AtomicUsize::new(0);
+
+    /// Oracle checks run so far (by any thread).
+    pub(super) fn checks() -> usize {
+        CHECKS.load(Ordering::Relaxed)
+    }
+
+    /// Every rank whose owned data meets `set` must be a candidate.
+    pub(super) fn assert_covers_owners(
+        set: &Set,
+        dist: &ArrayDist,
+        grid: &ProcGrid,
+        candidates: &[usize],
+    ) {
+        CHECKS.fetch_add(1, Ordering::Relaxed);
+        for orank in 0..grid.nprocs() as usize {
+            let owned = dist.owned_set(&grid.coords(orank as i64));
+            assert!(
+                candidates.contains(&orank) || set.intersect(&owned).is_empty(),
+                "rank {orank} owns part of {set:?} but is not among the candidates {candidates:?}"
+            );
+        }
+    }
+
+    /// A write set skipped for a disjoint bounding box must not meet the
+    /// uncovered read.
+    pub(super) fn assert_disjoint(uncovered: &Set, write: &Set) {
+        CHECKS.fetch_add(1, Ordering::Relaxed);
+        assert!(
+            uncovered.intersect(write).is_empty(),
+            "box filter skipped a write set meeting the uncovered read {uncovered:?}"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1722,6 +1799,37 @@ mod tests {
         );
         assert!(plan.overlap().is_none());
         assert_eq!(report.overlapped_nests, 0);
+    }
+
+    #[test]
+    fn owner_candidates_match_the_all_ranks_scan_on_nas_class_s() {
+        // compiling SP and BT runs every nest through the scan oracle:
+        // each owner-candidate list must hold every rank the brute-force
+        // scan finds a non-empty intersection with, and every box-based
+        // staleness skip must be a truly disjoint write set
+        let before = scan_oracle::checks();
+        let sources = [
+            (
+                dhpf_nas::sp::parse(),
+                dhpf_nas::sp::bindings(dhpf_nas::Class::S, 1),
+            ),
+            (
+                dhpf_nas::bt::parse(),
+                dhpf_nas::bt::bindings(dhpf_nas::Class::S, 1),
+            ),
+        ];
+        for (program, bindings) in sources {
+            for (npy, npz) in [(2, 2), (3, 2), (4, 4)] {
+                let mut opts = crate::driver::CompileOptions::new();
+                opts.bindings = bindings.clone();
+                opts.bindings.insert("npy".into(), npy);
+                opts.bindings.insert("npz".into(), npz);
+                opts.granularity = 4;
+                crate::driver::compile(&program, &opts)
+                    .unwrap_or_else(|e| panic!("compile at {npy}x{npz}: {e}"));
+            }
+        }
+        assert!(scan_oracle::checks() > before, "the oracle never ran");
     }
 
     #[test]

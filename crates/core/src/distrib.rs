@@ -57,6 +57,22 @@ impl ProcGrid {
     pub fn ranks(&self) -> impl Iterator<Item = i64> {
         0..self.nprocs()
     }
+
+    /// The ranks whose coordinates lie in `ranges` (one inclusive range
+    /// per grid dimension), in ascending rank order.
+    pub fn ranks_in(&self, ranges: &[(i64, i64)]) -> Vec<usize> {
+        let mut ranks = vec![0usize];
+        let mut stride = 1usize;
+        for (&(lo, hi), &extent) in ranges.iter().zip(&self.extents) {
+            // ranks built so far are below `stride`: prefixing the next
+            // (slower) coordinate keeps the list ascending
+            ranks = (lo..=hi)
+                .flat_map(|c| ranks.iter().map(move |r| r + c as usize * stride))
+                .collect();
+            stride *= extent as usize;
+        }
+        ranks
+    }
 }
 
 /// How one array dimension maps to the machine.
@@ -149,6 +165,47 @@ impl ArrayDist {
                 (lo <= hi).then_some((lo, hi))
             }
         }
+    }
+
+    /// Coordinate range, per processor-grid dimension, of the processors
+    /// whose owned rectangle meets the index box `bbox` (one inclusive
+    /// range per array dimension). The box is clipped to the declared
+    /// bounds and its corners are mapped through [`ArrayDist::owner`], the
+    /// BLOCK arithmetic [`ArrayDist::owned_range`] inverts; grid
+    /// dimensions no array dimension maps onto replicate, so they span
+    /// the whole grid, as does every dimension when a degenerate block
+    /// size (`BLOCK(0)`) rules the arithmetic out. `None` when the box
+    /// misses the declared bounds (no processor owns any of it).
+    pub fn owner_coord_range(
+        &self,
+        bbox: &[(i64, i64)],
+        grid: &ProcGrid,
+    ) -> Option<Vec<(i64, i64)>> {
+        let clipped: Vec<(i64, i64)> = bbox
+            .iter()
+            .zip(&self.bounds)
+            .map(|(&(lo, hi), &(lb, ub))| (lo.max(lb), hi.min(ub)))
+            .collect();
+        if clipped.iter().any(|(lo, hi)| lo > hi) {
+            return None;
+        }
+        let mut ranges: Vec<(i64, i64)> = grid.extents.iter().map(|e| (0, e - 1)).collect();
+        if self
+            .dims
+            .iter()
+            .any(|m| matches!(m, DimMap::Block { block, .. } if *block <= 0))
+        {
+            return Some(ranges);
+        }
+        let first: Vec<i64> = clipped.iter().map(|r| r.0).collect();
+        let last: Vec<i64> = clipped.iter().map(|r| r.1).collect();
+        let (first, last) = (self.owner(&first, grid), self.owner(&last, grid));
+        for m in &self.dims {
+            if let DimMap::Block { pdim, .. } = m {
+                ranges[*pdim] = (first[*pdim], last[*pdim]);
+            }
+        }
+        Some(ranges)
     }
 
     /// The full owned rectangle for a processor, or `None` if empty.
@@ -619,6 +676,28 @@ mod tests {
     }
 
     #[test]
+    fn owner_coord_range_on_a_remainder_block() {
+        // n = 10 over 4 processors: blocks of 3, the last holds only 10
+        let env = env_of(
+            "
+      program t
+      double precision a(10)
+!hpf$ processors p(4)
+!hpf$ distribute a(block) onto p
+      a(1) = 0.0
+      end
+",
+            &[],
+        );
+        let a = env.dist_of("a").unwrap();
+        let grid = env.grid.as_ref().unwrap();
+        assert_eq!(a.owner_coord_range(&[(3, 7)], grid), Some(vec![(0, 2)]));
+        assert_eq!(a.owner_coord_range(&[(10, 40)], grid), Some(vec![(3, 3)]));
+        assert_eq!(a.owner_coord_range(&[(-5, 0)], grid), None);
+        assert_eq!(grid.ranks_in(&[(1, 3)]), vec![1, 2, 3]);
+    }
+
+    #[test]
     fn ownership_constraints_for_subscripts() {
         let env = env_of(SRC_2D, &[]);
         let u = env.dist_of("u").unwrap();
@@ -634,5 +713,95 @@ mod tests {
         let set = Set::from_constraints(&["m", "i", "j", "k"], cons);
         assert!(set.contains(&[1, 1, 0, 1], &|_| None)); // j+1 = 1 owned by pj=0
         assert!(!set.contains(&[1, 1, 8, 1], &|_| None)); // j+1 = 9 not owned
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Per array dimension: declared lower bound, extent, grid
+        /// dimension selector (0 = serial), block size, ALIGN offset,
+        /// query box start relative to the lower bound, box length.
+        type DimSpec = (i64, i64, u8, i64, i64, i64, i64);
+
+        /// A random distribution on a 1-D or 2-D grid plus a query box.
+        /// Block sizes are drawn independently of the extents, so blocks
+        /// may leave a remainder on the last processor or run out before
+        /// it (grids wider than the extent: empty blocks); boxes may lie
+        /// partly or wholly outside the declared bounds.
+        fn arb_case() -> impl Strategy<Value = (ArrayDist, ProcGrid, Vec<(i64, i64)>)> {
+            (
+                prop::collection::vec(1i64..=5, 1..=2),
+                prop::collection::vec(
+                    (
+                        -3i64..=3,
+                        0i64..=10,
+                        0u8..=3,
+                        1i64..=6,
+                        -3i64..=3,
+                        -4i64..=4,
+                        0i64..=14,
+                    ),
+                    1..=3,
+                ),
+            )
+                .prop_map(|(extents, specs): (Vec<i64>, Vec<DimSpec>)| {
+                    let grid = ProcGrid {
+                        name: "p".into(),
+                        extents,
+                    };
+                    let mut used = vec![false; grid.extents.len()];
+                    let mut dist = ArrayDist {
+                        array: "a".into(),
+                        bounds: Vec::new(),
+                        dims: Vec::new(),
+                    };
+                    let mut bbox = Vec::new();
+                    for (lb, extent, sel, block, align_offset, start, len) in specs {
+                        dist.bounds.push((lb, lb + extent - 1));
+                        let pdim = (sel as usize + grid.extents.len() - 1) % grid.extents.len();
+                        dist.dims.push(if sel == 0 || used[pdim] {
+                            DimMap::Serial
+                        } else {
+                            used[pdim] = true;
+                            DimMap::Block {
+                                pdim,
+                                block,
+                                align_offset,
+                                nproc: grid.extents[pdim],
+                            }
+                        });
+                        bbox.push((lb + start, lb + start + len - 1));
+                    }
+                    (dist, grid, bbox)
+                })
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // the BLOCK-arithmetic coordinate range names exactly the
+            // ranks whose owned rectangle meets the box, ascending
+            #[test]
+            fn owner_coord_range_is_exactly_the_owners(case in arb_case()) {
+                let (dist, grid, bbox) = case;
+                let got = dist
+                    .owner_coord_range(&bbox, &grid)
+                    .map_or_else(Vec::new, |ranges| grid.ranks_in(&ranges));
+                let want: Vec<usize> = grid
+                    .ranks()
+                    .filter(|&r| {
+                        dist.owned_box(&grid.coords(r)).is_some_and(|owned| {
+                            owned
+                                .iter()
+                                .zip(&bbox)
+                                .all(|(o, b)| o.0.max(b.0) <= o.1.min(b.1))
+                        })
+                    })
+                    .map(|r| r as usize)
+                    .collect();
+                prop_assert_eq!(got, want);
+            }
+        }
     }
 }

@@ -601,9 +601,10 @@ fn process_unit(
                 for rank in grid.ranks() {
                     if dist.owned_box(&grid.coords(rank)).is_none() {
                         return Err(CompileError::Other(format!(
-                                "array `{}` has an empty block on processor {rank}:                                  grid {:?} is too large for its extents",
-                                dist.array, grid.extents
-                            )));
+                            "array `{}` has an empty block on processor {rank}: \
+                                 grid {:?} is too large for its extents",
+                            dist.array, grid.extents
+                        )));
                     }
                 }
             }

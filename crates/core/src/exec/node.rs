@@ -772,8 +772,10 @@ impl<'p> ProcState<'p> {
                         let need = dhpf_spmd::array::section_len(&lo, &hi);
                         if off + need > buf.len() {
                             exec_fail(format!(
-                                "pipeline recv mismatch on rank {} (coords {:?}) from {p}:                                  array {} region {lo:?}..{hi:?} needs {need} at offset {off} \
-                                 but the packed payload holds {}                                  (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
+                                "pipeline recv mismatch on rank {} (coords {:?}) from {p}: \
+                                 array {} region {lo:?}..{hi:?} needs {need} at offset {off} \
+                                 but the packed payload holds {} \
+                                 (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
                                 self.rank,
                                 self.coords,
                                 self.prog.arrays[g].name,
@@ -787,7 +789,9 @@ impl<'p> ProcState<'p> {
                     }
                     if off != buf.len() {
                         exec_fail(format!(
-                            "pipeline recv mismatch on rank {} (coords {:?}) from {p}:                              unpacked {off} of {} packed elements                              (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
+                            "pipeline recv mismatch on rank {} (coords {:?}) from {p}: \
+                             unpacked {off} of {} packed elements \
+                             (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
                             self.rank,
                             self.coords,
                             buf.len()
@@ -802,7 +806,9 @@ impl<'p> ProcState<'p> {
                             let need = dhpf_spmd::array::section_len(&lo, &hi);
                             if need != buf.len() {
                                 exec_fail(format!(
-                                    "pipeline recv mismatch on rank {} (coords {:?}) from {p}:                                      array {} region {lo:?}..{hi:?} needs {need} but got {}                                      (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
+                                    "pipeline recv mismatch on rank {} (coords {:?}) from {p}: \
+                                     array {} region {lo:?}..{hi:?} needs {need} but got {} \
+                                     (tag {tag}, chunk {chunk_lo}..{chunk_hi}, rd {rd} wd {wd}, dir {dir})",
                                     self.rank,
                                     self.coords,
                                     self.prog.arrays[g].name,

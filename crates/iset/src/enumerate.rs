@@ -255,6 +255,29 @@ pub fn bounding_box(set: &Set, params: &dyn Fn(&str) -> Option<i64>) -> Option<V
     }
 }
 
+/// A box covering every disjunct of a concrete set, for box-disjointness
+/// pre-filters. [`bounding_box`] passes over a disjunct whose projection
+/// rounds to an empty integer range (rational points but no integer
+/// ones); this is `None` unless *every* disjunct has a non-empty box of
+/// its own, so a filter that skips whatever misses the box never skips
+/// part of the set. An empty set has no covering box either.
+pub fn covering_box(set: &Set, params: &dyn Fn(&str) -> Option<i64>) -> Option<Vec<(i64, i64)>> {
+    let mut cover: Option<Vec<(i64, i64)>> = None;
+    for poly in set.polys() {
+        let b = bounding_box(&Set::from_poly(set.space(), poly.clone()), params)?;
+        match &mut cover {
+            None => cover = Some(b),
+            Some(c) => {
+                for (x, y) in c.iter_mut().zip(&b) {
+                    x.0 = x.0.min(y.0);
+                    x.1 = x.1.max(y.1);
+                }
+            }
+        }
+    }
+    cover
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,6 +413,31 @@ mod tests {
         let b = Set::rect(&["i", "j"], &[4, 0], &[4, 1]);
         let bb = bounding_box(&a.union(&b), &no_params).unwrap();
         assert_eq!(bb, vec![(1, 4), (0, 6)]);
+    }
+
+    #[test]
+    fn covering_box_needs_a_box_for_every_disjunct() {
+        let a = Set::rect(&["i", "j"], &[1, 5], &[2, 6]);
+        let b = Set::rect(&["i", "j"], &[4, 0], &[4, 1]);
+        let ab = a.union(&b);
+        assert_eq!(covering_box(&ab, &no_params), bounding_box(&ab, &no_params));
+        // 2i = 1 has a rational point but no integer one: bounding_box
+        // passes over the disjunct, the covering box refuses
+        let half = Set::from_constraints(
+            &["i", "j"],
+            [
+                Constraint::ge(var("i") * 2, crate::cst(1)),
+                Constraint::le(var("i") * 2, crate::cst(1)),
+            ],
+        );
+        let with_half = a.union_uncached(&half);
+        assert_eq!(with_half.polys().len(), 2);
+        assert_eq!(
+            bounding_box(&with_half, &no_params),
+            Some(vec![(1, 2), (5, 6)])
+        );
+        assert_eq!(covering_box(&with_half, &no_params), None);
+        assert_eq!(covering_box(&Set::empty(&["i"]), &no_params), None);
     }
 
     #[test]

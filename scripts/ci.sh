@@ -36,7 +36,14 @@
 #                     examples/hpf/ and the NAS SP/BT goldens, under a
 #                     hard timeout and a 2x wall-time regression gate
 #                     against results/protocol_baseline.txt
-#  10. fuzz smoke    — a pinned-seed generative differential campaign
+#  10. perfbench     — the benchmark harness's self-tests, then one traced
+#                     compile-scale pass (SP class B at 4, 16 and 64
+#                     ranks) under a hard timeout: it must report
+#                     `correct: true`, and the deterministic iset
+#                     intersect-lookup count may grow at most 64x from
+#                     4 to 64 ranks (the O(p^2) all-ranks scans grew it
+#                     ~240x; wall time is too noisy to gate on)
+#  11. fuzz smoke    — a pinned-seed generative differential campaign
 #                     (50 random HPF programs x 3 processor geometries x
 #                     the whole optimization-flag lattice) through the
 #                     multi-oracle conformance matrix, plus one planted
@@ -68,6 +75,7 @@ echo "== property suite (pinned seed)"
 # the vendored proptest shim mixes PROPTEST_SEED into every test's RNG
 # seed; pinning it makes the property battery bit-reproducible in CI
 PROPTEST_SEED=20260806 cargo test -q -p dhpf-iset --test algebra_props
+PROPTEST_SEED=20260806 cargo test -q -p dhpf-core --lib owner_coord_range
 
 echo "== compile bench smoke"
 # one cold+warm timing pass (class S only), the trace-overhead gate
@@ -331,6 +339,23 @@ elapsed = t1 - t0
 assert elapsed <= 2.0 * base, \
     f"protocol verifier took {elapsed:.1f}s, more than 2x the {base:.1f}s baseline"
 print(f"protocol verifier OK ({elapsed:.1f}s, baseline {base:.1f}s)")
+EOF
+
+echo "== perfbench (self-tests + compile-scale scaling gate)"
+cargo test --release --manifest-path perfbench/Cargo.toml
+timeout 900 cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload compile-scale --seed 1 --seconds 1 --trace 1 > target/PERF_compile_scale.json \
+    || { echo "FAIL: compile-scale smoke errored (or timed out)"; exit 1; }
+python3 - target/PERF_compile_scale.json <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).read().strip().splitlines()[-1])
+assert doc["correct"] is True and doc["failed"] == 0, doc
+m = doc["metrics"]
+p4 = m["iset.intersect_lookups.p4"]["value"]
+p64 = m["iset.intersect_lookups.p64"]["value"]
+ratio = p64 / p4
+assert ratio <= 64, f"intersect lookups grew {ratio:.0f}x from 4 to 64 ranks (gate: 64x)"
+print(f"compile-scale OK (intersect lookups {p4:.0f} -> {p64:.0f}, {ratio:.1f}x)")
 EOF
 
 echo "== fuzz smoke (pinned-seed differential campaign)"
